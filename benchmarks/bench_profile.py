@@ -68,6 +68,8 @@ def main(argv: list[str] | None = None) -> int:
             f"python-callback share (gen + sink): "
             f"{metrics['callback_s']:.3f}s "
             f"({metrics['callback_share']:.1%} of wall)\n"
+            f"cyclic collector (construction + run): "
+            f"{metrics['gc_collections']} collections, {metrics['gc_s']:.3f}s\n"
             f"{report.rstrip()}"
         )
     sections.append(metadata_lines())

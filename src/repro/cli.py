@@ -564,6 +564,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{metrics['callback_s']:.3f}s "
             f"({metrics['callback_share']:.1%} of wall)"
         )
+        print(
+            f"cyclic collector (construction + run): "
+            f"{metrics['gc_collections']} collections, {metrics['gc_s']:.3f}s"
+        )
         print(result.summary())
         if args.output:
             print(f"raw profile written to {args.output}")

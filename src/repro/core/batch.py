@@ -10,14 +10,13 @@ round-trip sequences.
 
 Correctness is structural, not statistical: member cells never post into
 each other's calendars (each keeps its own :class:`EventQueue`, routers,
-RNG streams and stats), the fused loop always drains the globally
-earliest pending bucket, and ties between cells resolve to the lowest
-member index — which is semantically free because the cells are
-independent.  Every member therefore observes exactly the operation
-sequence it would have observed running alone, and the K unpacked
-:class:`~repro.core.results.SimulationResult` objects are bit-identical
-to unbatched runs (pinned by the batch equivalence suite and golden
-digests).
+RNG streams and stats), and the fused loop drains the members one after
+another in cell order, each to the shared horizon, through the same
+per-queue ``drain`` a lone run uses.  Every member therefore observes
+exactly the operation sequence it would have observed running alone,
+and the K unpacked :class:`~repro.core.results.SimulationResult`
+objects are bit-identical to unbatched runs (pinned by the batch
+equivalence suite and golden digests).
 
 Which cells may share a batch is decided by :func:`batch_compat_key`:
 everything except ``traffic.load`` and ``seed`` must match, so a load
@@ -36,6 +35,7 @@ from repro.core.results import SimulationResult
 from repro.core.simulation import Simulation, _shared_topology
 from repro.engine.kernel import resolve_backend
 from repro.engine.soa import SoAStore
+from repro.utils.gcpause import gc_paused
 from repro.utils.rng import split_seed
 
 __all__ = ["BatchSimulation", "batch_compat_key", "run_simulation_batch"]
@@ -66,9 +66,12 @@ class BatchSimulation:
     one shared :class:`SoAStore` (member *i* owns rows
     ``[i * R, (i + 1) * R)``).  :meth:`run` starts every member, drains
     all K calendars through the backend's fused batch loop, then collects
-    one :class:`SimulationResult` per member, in input order.
+    one :class:`SimulationResult` per member, in input order.  Like a
+    lone :class:`Simulation`, construction and :meth:`run` execute with
+    the cyclic collector paused.
     """
 
+    @gc_paused
     def __init__(
         self,
         configs: Sequence[SimulationConfig],
@@ -128,6 +131,7 @@ class BatchSimulation:
         ]
 
     # ------------------------------------------------------------------
+    @gc_paused
     def run(self) -> list[SimulationResult]:
         """Run all members to the shared horizon; one result per member.
 

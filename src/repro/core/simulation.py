@@ -25,6 +25,7 @@ from repro.metrics.oracle import SimOracle
 from repro.routing.factory import make_routing
 from repro.topology.dragonfly import DragonflyTopology
 from repro.traffic.patterns import make_traffic
+from repro.utils.gcpause import gc_paused
 from repro.utils.rng import geometric_gap, make_rng, split_seed
 
 __all__ = ["Simulation", "run_simulation"]
@@ -70,8 +71,14 @@ def _shared_topology(network, arrangement_seed: int) -> DragonflyTopology:
 
 
 class Simulation:
-    """One fully wired Dragonfly simulation instance."""
+    """One fully wired Dragonfly simulation instance.
 
+    Construction and :meth:`run` execute with Python's cyclic collector
+    paused (:func:`~repro.utils.gcpause.gc_paused`): neither leaves
+    cyclic garbage, so the collections they would trigger find nothing.
+    """
+
+    @gc_paused
     def __init__(
         self,
         config: SimulationConfig,
@@ -414,6 +421,7 @@ class Simulation:
             self.engine.post(offset, self._gen_recs[node])
         self.engine.schedule(self.config.deadlock_cycles, self._watchdog)
 
+    @gc_paused
     def run(self) -> SimulationResult:
         """Execute the configured warmup + measurement and collect results."""
         self.start()

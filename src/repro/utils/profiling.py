@@ -23,11 +23,20 @@ spent inside the traffic-generation and delivery-sink callbacks
 disappear from the profile and the share drops to ~0 — the number is
 the direct witness of what the lowering removed, and of what a
 non-lowerable configuration (oracle, scenario patterns) still pays.
+
+It also reports the **cyclic collector's work** over construction plus
+run: the number of collections and their seconds, read through
+``gc.callbacks``.  cProfile folds collector time into whichever frame
+happened to allocate (on the compiled backend, the opaque drain), so
+without this count it is invisible.  Construction and run execute with
+the collector paused (:mod:`repro.utils.gcpause`), so the count stays
+near zero; a rise means something re-enabled or bypassed the pause.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import pstats
 import time
@@ -67,6 +76,23 @@ def _callback_seconds(profiler: cProfile.Profile) -> float:
     return total
 
 
+class _CollectorClock:
+    """Counts cyclic-collector runs and their seconds via ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._start: float | None = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        elif self._start is not None:
+            self.seconds += time.perf_counter() - self._start
+            self.collections += 1
+            self._start = None
+
+
 def profile_simulation(
     config: SimulationConfig,
     *,
@@ -81,9 +107,11 @@ def profile_simulation(
     engine rates (``wall_s``, ``events``, ``activations``,
     ``events_per_s``, ``activations_per_s`` — wall time measured *under
     the profiler*, so the rates are only comparable to other profiled
-    runs) plus the python-callback share (``callback_s``,
+    runs), the python-callback share (``callback_s``,
     ``callback_share``: cumulative profiled time in the traffic-gen and
-    delivery-sink callbacks, as seconds and as a fraction of the wall).
+    delivery-sink callbacks, as seconds and as a fraction of the wall)
+    and the cyclic collector's work over construction plus run
+    (``gc_collections``, ``gc_s``).
     With *dump_path* the raw profile is additionally written for offline
     viewers (snakeviz, pstats).
     """
@@ -93,13 +121,18 @@ def profile_simulation(
         raise ValueError(
             f"unknown profile sort {sort!r}; expected one of {PROFILE_SORTS}"
         )
-    sim = Simulation(config)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    start = time.perf_counter()
-    result = sim.run()
-    wall = time.perf_counter() - start
-    profiler.disable()
+    collector = _CollectorClock()
+    gc.callbacks.append(collector)
+    try:
+        sim = Simulation(config)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        start = time.perf_counter()
+        result = sim.run()
+        wall = time.perf_counter() - start
+        profiler.disable()
+    finally:
+        gc.callbacks.remove(collector)
     if dump_path is not None:
         profiler.dump_stats(dump_path)
     engine = sim.engine
@@ -112,6 +145,8 @@ def profile_simulation(
         "activations_per_s": engine.activations / wall if wall else 0.0,
         "callback_s": callback_s,
         "callback_share": callback_s / wall if wall else 0.0,
+        "gc_collections": collector.collections,
+        "gc_s": collector.seconds,
     }
     return result, render_profile(profiler, sort=sort, limit=limit), metrics
 

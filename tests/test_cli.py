@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import tiny_config
+from repro.core.simulation import Simulation
+from repro.utils.profiling import profile_simulation
 
 
 def _fast(extra):
@@ -639,7 +644,27 @@ class TestProfileCommand:
         assert rc == 0
         assert "engine:" in captured
         assert "activations" in captured
+        assert "python-callback share" in captured
+        assert "cyclic collector (construction + run):" in captured
         assert out.exists()
+
+    def test_profile_metrics_count_collector_work(self, monkeypatch):
+        # One explicit collection inside the profiled run must be counted
+        # (the pause leaves the automatic ones out).
+        run = Simulation.run
+
+        def run_with_collection(self):
+            gc.collect()
+            return run(self)
+
+        monkeypatch.setattr(Simulation, "run", run_with_collection)
+        callbacks = list(gc.callbacks)
+        _, _, metrics = profile_simulation(
+            tiny_config(seed=1, warmup_cycles=50, measure_cycles=100), limit=3
+        )
+        assert metrics["gc_collections"] >= 1
+        assert metrics["gc_s"] > 0.0
+        assert gc.callbacks == callbacks
 
 
 class TestServiceCommands:
